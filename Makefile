@@ -40,7 +40,9 @@ lint: vet
 # `race` reruns the allocation-regression tests under the race detector
 # (bounds logged, pool/scratch plumbing race-checked); `alloc` enforces
 # the exact allocs/op bounds, which only hold without instrumentation.
-check: build lint alloc race shapes
+# `race` also covers the heal, sandbox and shapes targets' tests, which
+# stay as local targets for running one gate alone.
+check: build lint alloc race
 
 test:
 	$(GO) test ./...

@@ -253,15 +253,8 @@ func (a *analyzer) run(prog *program) {
 	a.stmts(prog.stmts, global, 0)
 	a.finish(global)
 
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			a.noteCallback(st.fn.name, len(st.fn.params), st.pos)
-		case *declStmt:
-			if fn, ok := st.init.(*funcLit); ok {
-				a.noteCallback(st.name, len(fn.params), st.pos)
-			}
-		}
+	for _, d := range prog.defs {
+		a.noteCallback(d.name, len(d.fn.params), d.pos)
 	}
 	if a.opts.RequireEventReceived && !a.facts.HasEventReceived {
 		a.diag(Position{Line: 1, Col: 1}, CodeNoHandler, SeverityError,

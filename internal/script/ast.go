@@ -283,4 +283,141 @@ func (*funcDecl) stmtNode()     {}
 // program is a parsed compilation unit.
 type program struct {
 	stmts []stmt
+	// defs lists every top-level function definition (`function f` or
+	// `var f = function`) in source order; funcs maps each name to its last
+	// definition, the one the interpreter's load leaves bound.
+	defs  []funcDef
+	funcs map[string]funcDef
+}
+
+// funcDef is one top-level function definition; pos is the position of
+// the defining statement.
+type funcDef struct {
+	name string
+	fn   *funcLit
+	pos  Position
+}
+
+// indexFuncs builds the program's top-level function table.
+func (p *program) indexFuncs() {
+	p.funcs = make(map[string]funcDef)
+	for _, s := range p.stmts {
+		var d funcDef
+		switch st := s.(type) {
+		case *funcDecl:
+			d = funcDef{name: st.fn.name, fn: st.fn, pos: st.pos}
+		case *declStmt:
+			fn, ok := st.init.(*funcLit)
+			if !ok {
+				continue
+			}
+			d = funcDef{name: st.name, fn: fn, pos: st.pos}
+		default:
+			continue
+		}
+		p.defs = append(p.defs, d)
+		p.funcs[d.name] = d
+	}
+}
+
+// inspect traverses the tree rooted at n in depth-first order, like
+// go/ast.Inspect: it calls f(n) and, when f returns true, inspects each of
+// n's children in source order. It descends into function bodies (a
+// funcDecl's child is its funcLit, whose child is the body) and skips
+// absent optional parts. Passes that only need to find or collect nodes
+// are visitors over inspect; passes that compute per-construct semantics
+// (cost, shapes, frame flow, scoping) keep their own switch.
+func inspect(n node, f func(node) bool) {
+	if n == nil || !f(n) {
+		return
+	}
+	// Optional parts are interface-typed (nil when absent) or *blockStmt
+	// pointers, which must be checked before boxing into a node.
+	opt := func(b *blockStmt) {
+		if b != nil {
+			inspect(b, f)
+		}
+	}
+	list := func(stmts []stmt) {
+		for _, s := range stmts {
+			inspect(s, f)
+		}
+	}
+	switch x := n.(type) {
+	case *arrayLit:
+		for _, el := range x.elems {
+			inspect(el, f)
+		}
+	case *objectLit:
+		for _, fld := range x.fields {
+			inspect(fld.value, f)
+		}
+	case *funcLit:
+		opt(x.body)
+	case *unaryExpr:
+		inspect(x.x, f)
+	case *binaryExpr:
+		inspect(x.x, f)
+		inspect(x.y, f)
+	case *logicalExpr:
+		inspect(x.x, f)
+		inspect(x.y, f)
+	case *condExpr:
+		inspect(x.cond, f)
+		inspect(x.then, f)
+		inspect(x.elsE, f)
+	case *assignExpr:
+		inspect(x.target, f)
+		inspect(x.value, f)
+	case *updateExpr:
+		inspect(x.target, f)
+	case *callExpr:
+		inspect(x.callee, f)
+		for _, a := range x.args {
+			inspect(a, f)
+		}
+	case *memberExpr:
+		inspect(x.obj, f)
+	case *indexExpr:
+		inspect(x.obj, f)
+		inspect(x.index, f)
+	case *exprStmt:
+		inspect(x.x, f)
+	case *declStmt:
+		inspect(x.init, f)
+	case *blockStmt:
+		list(x.stmts)
+	case *ifStmt:
+		inspect(x.cond, f)
+		inspect(x.then, f)
+		inspect(x.elsE, f)
+	case *whileStmt:
+		inspect(x.cond, f)
+		inspect(x.body, f)
+	case *forStmt:
+		inspect(x.init, f)
+		inspect(x.cond, f)
+		inspect(x.post, f)
+		inspect(x.body, f)
+	case *forOfStmt:
+		inspect(x.iter, f)
+		inspect(x.body, f)
+	case *returnStmt:
+		inspect(x.value, f)
+	case *throwStmt:
+		inspect(x.value, f)
+	case *tryStmt:
+		opt(x.body)
+		opt(x.catch)
+		opt(x.finally)
+	case *switchStmt:
+		inspect(x.subject, f)
+		for _, c := range x.cases {
+			inspect(c.value, f)
+			list(c.body)
+		}
+		list(x.defaultBody)
+	case *funcDecl:
+		inspect(x.fn, f)
+	}
 }

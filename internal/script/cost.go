@@ -347,29 +347,13 @@ func costPass(prog *program, sigs map[string]Signature, globals []string) (CostR
 	ca := &costAnalysis{
 		sigs:         sigs,
 		globals:      make(map[string]bool, len(globals)),
-		funcs:        make(map[string]*funcLit),
-		funcPos:      make(map[string]Position),
+		funcs:        prog.funcs,
 		memo:         make(map[string]bound),
 		state:        make(map[string]int),
 		loopReported: make(map[Position]bool),
 	}
 	for _, g := range globals {
 		ca.globals[g] = true
-	}
-
-	// Top-level function table; the last definition of a name wins, matching
-	// the interpreter's load semantics.
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			ca.funcs[st.fn.name] = st.fn
-			ca.funcPos[st.fn.name] = st.pos
-		case *declStmt:
-			if fn, ok := st.init.(*funcLit); ok {
-				ca.funcs[st.name] = fn
-				ca.funcPos[st.name] = st.pos
-			}
-		}
 	}
 
 	var report CostReport
@@ -394,13 +378,13 @@ func costPass(prog *program, sigs map[string]Signature, globals []string) (CostR
 
 	// Lifecycle handlers.
 	for _, name := range []string{"init", "event_received"} {
-		fn, ok := ca.funcs[name]
+		d, ok := ca.funcs[name]
 		if !ok {
 			continue
 		}
-		b := ca.functionCost(name, fn)
+		b := ca.functionCost(name, d.fn)
 		bounds[name] = b
-		report.Handlers = append(report.Handlers, ca.handlerCost(name, ca.funcPos[name], b))
+		report.Handlers = append(report.Handlers, ca.handlerCost(name, d.pos, b))
 	}
 
 	sort.Slice(report.Handlers, func(i, j int) bool {
@@ -447,8 +431,7 @@ func joinReasons(reasons []string) string {
 type costAnalysis struct {
 	sigs    map[string]Signature
 	globals map[string]bool
-	funcs   map[string]*funcLit
-	funcPos map[string]Position
+	funcs   map[string]funcDef
 	// memo caches per-function bounds; state tracks the DFS for recursion
 	// detection (0 unvisited, 1 in progress, 2 done).
 	memo  map[string]bound
@@ -488,7 +471,7 @@ func (ca *costAnalysis) functionCost(name string, fn *funcLit) bound {
 		locals[p] = true
 	}
 	locals["arguments"] = true
-	collectDeclaredNames(fn.body.stmts, locals)
+	collectDeclaredNames(fn.body, locals)
 
 	// Calling a script function allocates its `arguments` array; the body
 	// statements execute via execStmt with no extra call-frame step.
@@ -502,56 +485,33 @@ func (ca *costAnalysis) functionCost(name string, fn *funcLit) bound {
 	return b
 }
 
-// collectDeclaredNames gathers every name a statement list declares,
+// collectDeclaredNames gathers every name a function body declares,
 // including nested blocks (not nested function bodies — pessimistically
 // close enough: a declaration anywhere in the function makes same-named
-// calls dynamic).
-func collectDeclaredNames(list []stmt, into map[string]bool) {
-	for _, s := range list {
-		switch st := s.(type) {
+// calls dynamic). A nested function declaration shadows too, so calls to
+// it through the local name are dynamic for this analysis; a variable
+// bound to a function literal does not.
+func collectDeclaredNames(body *blockStmt, into map[string]bool) {
+	inspect(body, func(n node) bool {
+		switch x := n.(type) {
+		case expr:
+			return false
 		case *declStmt:
-			if _, isFunc := st.init.(*funcLit); !isFunc {
-				into[st.name] = true
+			if _, isFunc := x.init.(*funcLit); !isFunc {
+				into[x.name] = true
 			}
-		case *blockStmt:
-			collectDeclaredNames(st.stmts, into)
-		case *ifStmt:
-			collectDeclaredNames([]stmt{st.then}, into)
-			if st.elsE != nil {
-				collectDeclaredNames([]stmt{st.elsE}, into)
-			}
-		case *whileStmt:
-			collectDeclaredNames([]stmt{st.body}, into)
-		case *forStmt:
-			if st.init != nil {
-				collectDeclaredNames([]stmt{st.init}, into)
-			}
-			collectDeclaredNames([]stmt{st.body}, into)
 		case *forOfStmt:
-			into[st.varName] = true
-			collectDeclaredNames([]stmt{st.body}, into)
+			into[x.varName] = true
 		case *tryStmt:
-			collectDeclaredNames(st.body.stmts, into)
-			if st.catch != nil {
-				if st.catchVar != "" {
-					into[st.catchVar] = true
-				}
-				collectDeclaredNames(st.catch.stmts, into)
+			if x.catch != nil && x.catchVar != "" {
+				into[x.catchVar] = true
 			}
-			if st.finally != nil {
-				collectDeclaredNames(st.finally.stmts, into)
-			}
-		case *switchStmt:
-			for _, c := range st.cases {
-				collectDeclaredNames(c.body, into)
-			}
-			collectDeclaredNames(st.defaultBody, into)
 		case *funcDecl:
-			// A nested function declaration shadows; calls to it through
-			// the local name are dynamic for this analysis.
-			into[st.fn.name] = true
+			into[x.fn.name] = true
+			return false
 		}
-	}
+		return true
+	})
 }
 
 // ---- statement costs ----
@@ -828,8 +788,8 @@ func (ca *costAnalysis) callCost(ex *callExpr, locals map[string]bool) bound {
 		dyn.dynamic = true
 		return b.add(dyn)
 	}
-	if fn, isFunc := ca.funcs[id.name]; isFunc {
-		return b.add(ca.functionCost(id.name, fn))
+	if d, isFunc := ca.funcs[id.name]; isFunc {
+		return b.add(ca.functionCost(id.name, d.fn))
 	}
 	if _, isSig := ca.sigs[id.name]; isSig || ca.globals[id.name] {
 		// Host bindings and builtins execute in Go: zero interpreter steps.
@@ -934,7 +894,7 @@ func inferForIterations(st *forStmt) (int64, bool) {
 
 	// The body (and the post beyond the recognized update) must not write
 	// the induction variable.
-	if stmtWrites(st.body, iv) {
+	if writes(st.body, iv) {
 		return 0, false
 	}
 
@@ -1031,122 +991,47 @@ func iterationsFor(start, limit, step float64, op string) (int64, bool) {
 	return int64(n), true
 }
 
-// stmtWrites reports whether any statement (including nested function
-// literals, pessimistically) assigns to name.
-func stmtWrites(s stmt, name string) bool {
-	switch st := s.(type) {
-	case nil:
-		return false
-	case *exprStmt:
-		return exprWrites(st.x, name)
-	case *declStmt:
-		// Redeclaring the induction variable in the body shadows it; give
-		// up rather than model block scoping.
-		return st.name == name || (st.init != nil && exprWrites(st.init, name))
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			if stmtWrites(inner, name) {
-				return true
-			}
+// writes reports whether anything under n (including nested function
+// literals, pessimistically: the closure could run inside the loop) assigns
+// or declares name. Redeclaring the induction variable in the body shadows
+// it; give up rather than model block scoping.
+func writes(n node, name string) bool {
+	found := false
+	inspect(n, func(n node) bool {
+		if found {
+			return false
 		}
-	case *ifStmt:
-		return exprWrites(st.cond, name) || stmtWrites(st.then, name) || stmtWrites(st.elsE, name)
-	case *whileStmt:
-		return exprWrites(st.cond, name) || stmtWrites(st.body, name)
-	case *forStmt:
-		return stmtWrites(st.init, name) || exprWrites(st.cond, name) ||
-			exprWrites(st.post, name) || stmtWrites(st.body, name)
-	case *forOfStmt:
-		return st.varName == name || exprWrites(st.iter, name) || stmtWrites(st.body, name)
-	case *returnStmt:
-		return exprWrites(st.value, name)
-	case *throwStmt:
-		return exprWrites(st.value, name)
-	case *tryStmt:
-		if stmtWrites(st.body, name) {
-			return true
+		switch x := n.(type) {
+		case *declStmt:
+			found = x.name == name
+		case *forOfStmt:
+			found = x.varName == name
+		case *tryStmt:
+			found = x.catch != nil && x.catchVar == name
+		case *funcDecl:
+			found = x.fn.name == name
+		default:
+			found = assignsIdent(n, name)
 		}
-		if st.catch != nil && (st.catchVar == name || stmtWrites(st.catch, name)) {
-			return true
-		}
-		return st.finally != nil && stmtWrites(st.finally, name)
-	case *switchStmt:
-		if exprWrites(st.subject, name) {
-			return true
-		}
-		for _, c := range st.cases {
-			if exprWrites(c.value, name) {
-				return true
-			}
-			for _, inner := range c.body {
-				if stmtWrites(inner, name) {
-					return true
-				}
-			}
-		}
-		for _, inner := range st.defaultBody {
-			if stmtWrites(inner, name) {
-				return true
-			}
-		}
-	case *funcDecl:
-		return st.fn.name == name || stmtWrites(st.fn.body, name)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
-func exprWrites(e expr, name string) bool {
-	switch ex := e.(type) {
-	case nil:
-		return false
+// assignsIdent reports whether n is an assignment or update whose target
+// is the bare identifier name.
+func assignsIdent(n node, name string) bool {
+	var t expr
+	switch x := n.(type) {
 	case *assignExpr:
-		if id, ok := ex.target.(*identExpr); ok && id.name == name {
-			return true
-		}
-		return exprWrites(ex.target, name) || exprWrites(ex.value, name)
+		t = x.target
 	case *updateExpr:
-		if id, ok := ex.target.(*identExpr); ok && id.name == name {
-			return true
-		}
-		return exprWrites(ex.target, name)
-	case *unaryExpr:
-		return exprWrites(ex.x, name)
-	case *binaryExpr:
-		return exprWrites(ex.x, name) || exprWrites(ex.y, name)
-	case *logicalExpr:
-		return exprWrites(ex.x, name) || exprWrites(ex.y, name)
-	case *condExpr:
-		return exprWrites(ex.cond, name) || exprWrites(ex.then, name) || exprWrites(ex.elsE, name)
-	case *callExpr:
-		if exprWrites(ex.callee, name) {
-			return true
-		}
-		for _, arg := range ex.args {
-			if exprWrites(arg, name) {
-				return true
-			}
-		}
-	case *memberExpr:
-		return exprWrites(ex.obj, name)
-	case *indexExpr:
-		return exprWrites(ex.obj, name) || exprWrites(ex.index, name)
-	case *arrayLit:
-		for _, el := range ex.elems {
-			if exprWrites(el, name) {
-				return true
-			}
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			if exprWrites(f.value, name) {
-				return true
-			}
-		}
-	case *funcLit:
-		// The closure could run inside the loop and write the variable.
-		return stmtWrites(ex.body, name)
+		t = x.target
+	default:
+		return false
 	}
-	return false
+	id, ok := t.(*identExpr)
+	return ok && id.name == name
 }
 
 // inferIterableLen bounds the element count of a for-of iterable. Builtin

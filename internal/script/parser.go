@@ -24,6 +24,7 @@ func parse(src string) (*program, error) {
 		}
 		prog.stmts = append(prog.stmts, s)
 	}
+	prog.indexFuncs()
 	return prog, nil
 }
 

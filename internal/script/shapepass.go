@@ -14,7 +14,7 @@ import (
 
 type shapeCtx struct {
 	sigs    map[string]Signature
-	funcs   map[string]*funcLit
+	funcs   map[string]funcDef
 	globals map[string]*Shape
 	extra   map[string]bool
 
@@ -31,14 +31,14 @@ type envResult struct {
 	locals map[string]bool
 }
 
-// shapePass runs pipetype over a parsed module. Mirrors costPass's shape:
-// top-level function table (last declaration wins), then per-scope
-// analysis. It reports PV018 at emit sites whose payload degrades to top
-// or an open object.
+// shapePass runs pipetype over a parsed module: module globals, then
+// per-scope analysis of the load scope and each top-level function. It
+// reports PV018 at emit sites whose payload degrades to top or an open
+// object.
 func shapePass(prog *program, sigs map[string]Signature, globals []string) (ShapeReport, []Diagnostic) {
 	ctx := &shapeCtx{
 		sigs:         sigs,
-		funcs:        make(map[string]*funcLit),
+		funcs:        prog.funcs,
 		globals:      make(map[string]*Shape),
 		extra:        make(map[string]bool),
 		retShape:     make(map[string]*Shape),
@@ -49,16 +49,6 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 	}
 	for _, g := range globals {
 		ctx.extra[g] = true
-	}
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			ctx.funcs[st.fn.name] = st.fn
-		case *declStmt:
-			if fl, ok := st.init.(*funcLit); ok {
-				ctx.funcs[st.name] = fl
-			}
-		}
 	}
 
 	// Module globals: a global keeps its declaration shape only when the
@@ -99,27 +89,15 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 			// Walked as its own scope below.
 		case *declStmt:
 			if _, isFunc := st.init.(*funcLit); !isFunc {
-				load.stmt(s)
+				load.walk(s)
 			}
 		default:
-			load.stmt(s)
+			load.walk(s)
 		}
 	}
-	for _, s := range prog.stmts {
-		var fl *funcLit
-		switch st := s.(type) {
-		case *funcDecl:
-			fl = st.fn
-		case *declStmt:
-			if f, ok := st.init.(*funcLit); ok {
-				fl = f
-			}
-		}
-		if fl == nil {
-			continue
-		}
-		env, locals := ctx.fixpointEnv(fl)
-		col.scope(env, locals).block(fl.body)
+	for _, d := range prog.defs {
+		env, locals := ctx.fixpointEnv(d.fn)
+		col.scope(env, locals).walk(d.fn.body)
 	}
 	sort.SliceStable(sites, func(i, j int) bool {
 		if sites[i].Pos.Line != sites[j].Pos.Line {
@@ -129,9 +107,8 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 	})
 
 	rep := ShapeReport{
-		Emits:        make(map[string]*Shape),
-		EmitSites:    sites,
-		ServiceReads: collectServiceReads(ctx, prog),
+		Emits:     make(map[string]*Shape),
+		EmitSites: sites,
 	}
 	for _, s := range sites {
 		if s.Target == "" {
@@ -141,11 +118,11 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 		rep.Emits[s.Target] = rep.Emits[s.Target].Join(s.Payload)
 	}
 
-	if fl, ok := ctx.funcs["event_received"]; ok {
+	if d, ok := ctx.funcs["event_received"]; ok {
 		rep.Consumed.HasHandler = true
 		rep.Consumed.Fields = make(map[string]FieldUse)
-		if len(fl.params) > 0 {
-			frag := ctx.consumeFunc(fl, 0, "")
+		if len(d.fn.params) > 0 {
+			frag := ctx.consumeFunc(d.fn, 0, "")
 			rep.Consumed.Dynamic = frag.dynamic
 			rep.Consumed.Fields = frag.fields
 		}
@@ -157,8 +134,8 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 // the root of a member/index write anywhere in the program (including
 // nested function bodies).
 func scanWidens(s stmt, into map[string]bool) {
-	walkStmtExprs(s, func(e expr) {
-		switch ex := e.(type) {
+	inspect(s, func(n node) bool {
+		switch ex := n.(type) {
 		case *assignExpr:
 			widenTarget(ex.target, into)
 		case *updateExpr:
@@ -170,6 +147,7 @@ func scanWidens(s stmt, into map[string]bool) {
 				}
 			}
 		}
+		return true
 	})
 }
 
@@ -199,110 +177,6 @@ func rootIdentName(e expr) (string, bool) {
 	}
 }
 
-// walkStmtExprs calls fn on every expression under s, including inside
-// nested function literal bodies.
-func walkStmtExprs(s stmt, fn func(expr)) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		walkExprTree(st.x, fn)
-	case *declStmt:
-		walkExprTree(st.init, fn)
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			walkStmtExprs(inner, fn)
-		}
-	case *ifStmt:
-		walkExprTree(st.cond, fn)
-		walkStmtExprs(st.then, fn)
-		walkStmtExprs(st.elsE, fn)
-	case *whileStmt:
-		walkExprTree(st.cond, fn)
-		walkStmtExprs(st.body, fn)
-	case *forStmt:
-		walkStmtExprs(st.init, fn)
-		walkExprTree(st.cond, fn)
-		walkExprTree(st.post, fn)
-		walkStmtExprs(st.body, fn)
-	case *forOfStmt:
-		walkExprTree(st.iter, fn)
-		walkStmtExprs(st.body, fn)
-	case *returnStmt:
-		walkExprTree(st.value, fn)
-	case *throwStmt:
-		walkExprTree(st.value, fn)
-	case *tryStmt:
-		walkStmtExprs(st.body, fn)
-		if st.catch != nil {
-			walkStmtExprs(st.catch, fn)
-		}
-		if st.finally != nil {
-			walkStmtExprs(st.finally, fn)
-		}
-	case *switchStmt:
-		walkExprTree(st.subject, fn)
-		for _, c := range st.cases {
-			walkExprTree(c.value, fn)
-			for _, inner := range c.body {
-				walkStmtExprs(inner, fn)
-			}
-		}
-		for _, inner := range st.defaultBody {
-			walkStmtExprs(inner, fn)
-		}
-	case *funcDecl:
-		walkStmtExprs(st.fn.body, fn)
-	}
-}
-
-// walkExprTree calls fn on e and every sub-expression, descending into
-// function literal bodies.
-func walkExprTree(e expr, fn func(expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch ex := e.(type) {
-	case *arrayLit:
-		for _, el := range ex.elems {
-			walkExprTree(el, fn)
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			walkExprTree(f.value, fn)
-		}
-	case *funcLit:
-		walkStmtExprs(ex.body, fn)
-	case *unaryExpr:
-		walkExprTree(ex.x, fn)
-	case *binaryExpr:
-		walkExprTree(ex.x, fn)
-		walkExprTree(ex.y, fn)
-	case *logicalExpr:
-		walkExprTree(ex.x, fn)
-		walkExprTree(ex.y, fn)
-	case *condExpr:
-		walkExprTree(ex.cond, fn)
-		walkExprTree(ex.then, fn)
-		walkExprTree(ex.elsE, fn)
-	case *assignExpr:
-		walkExprTree(ex.target, fn)
-		walkExprTree(ex.value, fn)
-	case *updateExpr:
-		walkExprTree(ex.target, fn)
-	case *callExpr:
-		walkExprTree(ex.callee, fn)
-		for _, a := range ex.args {
-			walkExprTree(a, fn)
-		}
-	case *memberExpr:
-		walkExprTree(ex.obj, fn)
-	case *indexExpr:
-		walkExprTree(ex.obj, fn)
-		walkExprTree(ex.index, fn)
-	}
-}
-
 // ---- produced side: local environments ----
 
 // fixpointEnv computes the stabilized flow-insensitive local environment of
@@ -314,7 +188,7 @@ func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool)
 		return r.env, r.locals
 	}
 	locals := make(map[string]bool)
-	collectDeclaredNames(fl.body.stmts, locals)
+	collectDeclaredNames(fl.body, locals)
 	env := make(map[string]*Shape)
 	for _, pn := range fl.params {
 		locals[pn] = true
@@ -428,8 +302,8 @@ func (p *envPass) stmt(s stmt) {
 }
 
 func (p *envPass) expr(e expr) {
-	walkExprTree(e, func(x expr) {
-		switch ex := x.(type) {
+	inspect(e, func(n node) bool {
+		switch ex := n.(type) {
 		case *assignExpr:
 			var val *Shape
 			switch ex.op {
@@ -444,6 +318,7 @@ func (p *envPass) expr(e expr) {
 		case *updateExpr:
 			p.assignTarget(ex.target, kindShape(KindNumber))
 		}
+		return true
 	})
 }
 
@@ -607,8 +482,8 @@ func (c *shapeCtx) callShape(ex *callExpr, env map[string]*Shape, locals map[str
 	if _, isGlobal := c.globals[id.name]; isGlobal {
 		return topShape()
 	}
-	if fl, found := c.funcs[id.name]; found {
-		return c.returnShape(id.name, fl)
+	if d, found := c.funcs[id.name]; found {
+		return c.returnShape(id.name, d.fn)
 	}
 	switch id.name {
 	case "call_service":
@@ -672,65 +547,25 @@ func (c *shapeCtx) returnShape(name string, fl *funcLit) *Shape {
 	c.retState[name] = 1
 	env, locals := c.fixpointEnv(fl)
 	var ret *Shape
-	collectReturns(fl.body, func(r *returnStmt) {
-		if r.value == nil {
-			ret = ret.Join(kindShape(KindNull))
-		} else {
-			ret = ret.Join(c.evalShape(r.value, env, locals))
+	inspect(fl.body, func(n node) bool {
+		switch x := n.(type) {
+		case expr:
+			// Returns inside nested function literals are their own.
+			return false
+		case *returnStmt:
+			if x.value == nil {
+				ret = ret.Join(kindShape(KindNull))
+			} else {
+				ret = ret.Join(c.evalShape(x.value, env, locals))
+			}
 		}
+		return true
 	})
 	// Falling off the end returns null.
 	ret = ret.Join(kindShape(KindNull))
 	c.retShape[name] = ret
 	c.retState[name] = 2
 	return ret
-}
-
-// collectReturns visits the return statements of one function body without
-// descending into nested function literals (their returns are their own).
-func collectReturns(b *blockStmt, fn func(*returnStmt)) {
-	var walk func(s stmt)
-	walk = func(s stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *returnStmt:
-			fn(st)
-		case *blockStmt:
-			for _, inner := range st.stmts {
-				walk(inner)
-			}
-		case *ifStmt:
-			walk(st.then)
-			walk(st.elsE)
-		case *whileStmt:
-			walk(st.body)
-		case *forStmt:
-			walk(st.init)
-			walk(st.body)
-		case *forOfStmt:
-			walk(st.body)
-		case *tryStmt:
-			walk(st.body)
-			if st.catch != nil {
-				walk(st.catch)
-			}
-			if st.finally != nil {
-				walk(st.finally)
-			}
-		case *switchStmt:
-			for _, cs := range st.cases {
-				for _, inner := range cs.body {
-					walk(inner)
-				}
-			}
-			for _, inner := range st.defaultBody {
-				walk(inner)
-			}
-		}
-	}
-	for _, s := range b.stmts {
-		walk(s)
-	}
 }
 
 // ---- emit collection ----
@@ -760,7 +595,7 @@ func (sc *emitScope) nested(fl *funcLit) *emitScope {
 	for _, pn := range fl.params {
 		shadowed[pn] = true
 	}
-	collectDeclaredNames(fl.body.stmts, shadowed)
+	collectDeclaredNames(fl.body, shadowed)
 	env := make(map[string]*Shape, len(sc.env)+len(shadowed))
 	locals := make(map[string]bool, len(sc.locals)+len(shadowed))
 	for n, v := range sc.env {
@@ -776,110 +611,19 @@ func (sc *emitScope) nested(fl *funcLit) *emitScope {
 	return &emitScope{col: sc.col, env: env, locals: locals}
 }
 
-func (sc *emitScope) block(b *blockStmt) {
-	for _, s := range b.stmts {
-		sc.stmt(s)
-	}
-}
-
-func (sc *emitScope) stmt(s stmt) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		sc.expr(st.x)
-	case *declStmt:
-		sc.expr(st.init)
-	case *blockStmt:
-		sc.block(st)
-	case *ifStmt:
-		sc.expr(st.cond)
-		sc.stmt(st.then)
-		sc.stmt(st.elsE)
-	case *whileStmt:
-		sc.expr(st.cond)
-		sc.stmt(st.body)
-	case *forStmt:
-		sc.stmt(st.init)
-		sc.expr(st.cond)
-		sc.expr(st.post)
-		sc.stmt(st.body)
-	case *forOfStmt:
-		sc.expr(st.iter)
-		sc.stmt(st.body)
-	case *returnStmt:
-		sc.expr(st.value)
-	case *throwStmt:
-		sc.expr(st.value)
-	case *tryStmt:
-		sc.stmt(st.body)
-		if st.catch != nil {
-			sc.stmt(st.catch)
+// walk records every call_module site under n, giving each nested
+// function literal its own scope.
+func (sc *emitScope) walk(n node) {
+	inspect(n, func(n node) bool {
+		switch x := n.(type) {
+		case *funcLit:
+			sc.nested(x).walk(x.body)
+			return false
+		case *callExpr:
+			sc.emit(x)
 		}
-		if st.finally != nil {
-			sc.stmt(st.finally)
-		}
-	case *switchStmt:
-		sc.expr(st.subject)
-		for _, cs := range st.cases {
-			sc.expr(cs.value)
-			for _, inner := range cs.body {
-				sc.stmt(inner)
-			}
-		}
-		for _, inner := range st.defaultBody {
-			sc.stmt(inner)
-		}
-	case *funcDecl:
-		sc.nested(st.fn).block(st.fn.body)
-	}
-}
-
-func (sc *emitScope) expr(e expr) {
-	if e == nil {
-		return
-	}
-	switch ex := e.(type) {
-	case *funcLit:
-		sc.nested(ex).block(ex.body)
-		return
-	case *callExpr:
-		sc.expr(ex.callee)
-		for _, a := range ex.args {
-			sc.expr(a)
-		}
-		sc.emit(ex)
-		return
-	case *arrayLit:
-		for _, el := range ex.elems {
-			sc.expr(el)
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			sc.expr(f.value)
-		}
-	case *unaryExpr:
-		sc.expr(ex.x)
-	case *binaryExpr:
-		sc.expr(ex.x)
-		sc.expr(ex.y)
-	case *logicalExpr:
-		sc.expr(ex.x)
-		sc.expr(ex.y)
-	case *condExpr:
-		sc.expr(ex.cond)
-		sc.expr(ex.then)
-		sc.expr(ex.elsE)
-	case *assignExpr:
-		sc.expr(ex.target)
-		sc.expr(ex.value)
-	case *updateExpr:
-		sc.expr(ex.target)
-	case *memberExpr:
-		sc.expr(ex.obj)
-	case *indexExpr:
-		sc.expr(ex.obj)
-		sc.expr(ex.index)
-	}
+		return true
+	})
 }
 
 // emit records a call_module site and reports PV018 when the payload shape
@@ -953,7 +697,7 @@ func (c *shapeCtx) consumeFunc(fl *funcLit, paramIdx int, key string) *consumeFr
 	// attribution: degrade to dynamic with no recorded fields rather than
 	// risk a false PV015.
 	declared := make(map[string]bool)
-	collectDeclaredNames(fl.body.stmts, declared)
+	collectDeclaredNames(fl.body, declared)
 	if declared[param] || assignsName(fl.body, param) {
 		frag.dynamic = true
 		return done()
@@ -969,19 +713,9 @@ func (c *shapeCtx) consumeFunc(fl *funcLit, paramIdx int, key string) *consumeFr
 // (including nested function bodies) targets the bare identifier name.
 func assignsName(b *blockStmt, name string) bool {
 	found := false
-	walkStmtExprs(b, func(e expr) {
-		var t expr
-		switch ex := e.(type) {
-		case *assignExpr:
-			t = ex.target
-		case *updateExpr:
-			t = ex.target
-		default:
-			return
-		}
-		if id, ok := t.(*identExpr); ok && id.name == name {
-			found = true
-		}
+	inspect(b, func(n node) bool {
+		found = found || assignsIdent(n, name)
+		return !found
 	})
 	return found
 }
@@ -994,57 +728,27 @@ func (c *shapeCtx) aliasSet(fl *funcLit, param string) map[string]bool {
 	declCount := make(map[string]int)
 	type candidate struct{ name, from string }
 	var cands []candidate
-	var scan func(s stmt)
-	scan = func(s stmt) {
-		switch st := s.(type) {
-		case nil:
+	inspect(fl.body, func(n node) bool {
+		switch x := n.(type) {
+		case expr:
+			return false
 		case *declStmt:
-			declCount[st.name]++
-			if id, ok := st.init.(*identExpr); ok {
-				cands = append(cands, candidate{name: st.name, from: id.name})
+			declCount[x.name]++
+			if id, ok := x.init.(*identExpr); ok {
+				cands = append(cands, candidate{name: x.name, from: id.name})
 			}
-		case *blockStmt:
-			for _, inner := range st.stmts {
-				scan(inner)
-			}
-		case *ifStmt:
-			scan(st.then)
-			scan(st.elsE)
-		case *whileStmt:
-			scan(st.body)
-		case *forStmt:
-			scan(st.init)
-			scan(st.body)
 		case *forOfStmt:
-			declCount[st.varName]++
-			scan(st.body)
+			declCount[x.varName]++
 		case *tryStmt:
-			scan(st.body)
-			if st.catch != nil {
-				if st.catchVar != "" {
-					declCount[st.catchVar]++
-				}
-				scan(st.catch)
-			}
-			if st.finally != nil {
-				scan(st.finally)
-			}
-		case *switchStmt:
-			for _, cs := range st.cases {
-				for _, inner := range cs.body {
-					scan(inner)
-				}
-			}
-			for _, inner := range st.defaultBody {
-				scan(inner)
+			if x.catch != nil && x.catchVar != "" {
+				declCount[x.catchVar]++
 			}
 		case *funcDecl:
-			declCount[st.fn.name]++
+			declCount[x.fn.name]++
+			return false
 		}
-	}
-	for _, s := range fl.body.stmts {
-		scan(s)
-	}
+		return true
+	})
 	for changed := true; changed; {
 		changed = false
 		for _, cd := range cands {
@@ -1110,7 +814,7 @@ func (w *consumeWalker) nested(fl *funcLit) {
 	for _, pn := range fl.params {
 		shadowed[pn] = true
 	}
-	collectDeclaredNames(fl.body.stmts, shadowed)
+	collectDeclaredNames(fl.body, shadowed)
 	sub := &consumeWalker{ctx: w.ctx, frag: w.frag, aliases: make(map[string]bool, len(w.aliases))}
 	for n := range w.aliases {
 		if !shadowed[n] {
@@ -1340,10 +1044,10 @@ func (w *consumeWalker) call(ex *callExpr) {
 			return
 		}
 	}
-	if fl, ok := w.ctx.funcs[id.name]; ok {
+	if d, ok := w.ctx.funcs[id.name]; ok {
 		for i, a := range ex.args {
 			if aid, isAlias := a.(*identExpr); isAlias && w.aliases[aid.name] {
-				w.merge(w.ctx.consumeFunc(fl, i, id.name+"#"+strconv.Itoa(i)))
+				w.merge(w.ctx.consumeFunc(d.fn, i, id.name+"#"+strconv.Itoa(i)))
 				continue
 			}
 			w.expr(a, 0)
@@ -1383,97 +1087,4 @@ func paramKinds(sig Signature, i int) KindSet {
 		return kindsFromType(sig.Rest)
 	}
 	return 0
-}
-
-// ---- service result reads (documentation) ----
-
-// collectServiceReads records, per literal call_service target, the fields
-// read off a variable directly bound to its result.
-func collectServiceReads(ctx *shapeCtx, prog *program) map[string][]string {
-	out := make(map[string][]string)
-	scopes := [][]stmt{prog.stmts}
-	for _, fl := range ctx.funcs {
-		scopes = append(scopes, fl.body.stmts)
-	}
-	for _, stmts := range scopes {
-		// Variables bound to call_service results in this scope.
-		bound := make(map[string]string)
-		var scanDecls func(s stmt)
-		scanDecls = func(s stmt) {
-			switch st := s.(type) {
-			case nil:
-			case *declStmt:
-				if call, ok := st.init.(*callExpr); ok {
-					if cid, ok2 := call.callee.(*identExpr); ok2 && cid.name == "call_service" && len(call.args) > 0 {
-						if svc, ok3 := call.args[0].(*stringLit); ok3 {
-							bound[st.name] = svc.value
-						}
-					}
-				}
-			case *blockStmt:
-				for _, inner := range st.stmts {
-					scanDecls(inner)
-				}
-			case *ifStmt:
-				scanDecls(st.then)
-				scanDecls(st.elsE)
-			case *whileStmt:
-				scanDecls(st.body)
-			case *forStmt:
-				scanDecls(st.init)
-				scanDecls(st.body)
-			case *forOfStmt:
-				scanDecls(st.body)
-			case *tryStmt:
-				scanDecls(st.body)
-				if st.catch != nil {
-					scanDecls(st.catch)
-				}
-				if st.finally != nil {
-					scanDecls(st.finally)
-				}
-			case *switchStmt:
-				for _, cs := range st.cases {
-					for _, inner := range cs.body {
-						scanDecls(inner)
-					}
-				}
-				for _, inner := range st.defaultBody {
-					scanDecls(inner)
-				}
-			}
-		}
-		for _, s := range stmts {
-			scanDecls(s)
-		}
-		if len(bound) == 0 {
-			continue
-		}
-		seen := make(map[string]bool)
-		for _, s := range stmts {
-			walkStmtExprs(s, func(e expr) {
-				m, ok := e.(*memberExpr)
-				if !ok {
-					return
-				}
-				id, ok := m.obj.(*identExpr)
-				if !ok {
-					return
-				}
-				svc, ok := bound[id.name]
-				if !ok {
-					return
-				}
-				key := svc + "\x00" + m.name
-				if !seen[key] {
-					seen[key] = true
-					out[svc] = append(out[svc], m.name)
-				}
-			})
-		}
-	}
-	for svc := range out {
-		sort.Strings(out[svc])
-	}
-	return out
 }

@@ -82,6 +82,25 @@ function event_received(m) {
 	}
 }
 
+// TestShapeEmitInsideCallArguments: emit sites nested in another call's
+// arguments, including a callback literal, are collected too.
+func TestShapeEmitInsideCallArguments(t *testing.T) {
+	rep := shapesOf(t, `
+function each(xs, f) { for (var x of xs) { f(x); } }
+function event_received(m) {
+    each([1, 2], function (v) { call_module("sink", {v: v}); });
+    log(call_module("audit", {n: 1}));
+}`)
+	for _, target := range []string{"sink", "audit"} {
+		if s := rep.Emits[target]; s == nil || s.Fields == nil {
+			t.Errorf("emit shape for %s = %v, want a closed object", target, s)
+		}
+	}
+	if len(rep.EmitSites) != 2 {
+		t.Errorf("EmitSites = %d, want 2", len(rep.EmitSites))
+	}
+}
+
 func TestShapeEmitTopIsPV018(t *testing.T) {
 	src := `
 function event_received(m) {
